@@ -3,10 +3,13 @@
    Usage:
      livebench --workload W --seed N --seconds S --trace 0|1 --dir DIR [--cpu C]
 
-   One run sets a 3-node cluster up fifteen times (reporting the mean
-   of the middle half of the set-up times), drives the workload's load for a warm-up and then for a
-   measured window of S seconds, drains, quiesces and checks the
-   replicas. With --trace 0 the last stdout line is a JSON object with
+   One run sets a 3-node cluster up [setups] times (reporting the
+   trimmed mean of the set-up times), drives the workload's load for a warm-up and
+   then for a measured window of S seconds, drains, quiesces and checks the
+   replicas. The window is cut into buckets of about [bucket_s] seconds;
+   each end-to-end latency is the median over the buckets with the
+   least host steal (see [quiet_buckets]), and the CPU per op the median
+   over all of them. With --trace 0 the last stdout line is a JSON object with
    the end-to-end metrics; with --trace 1 the run repeats with causal
    tracing on, analyzes the flight dumps, and reports per-layer metrics.
    A run that fails a correctness check prints "correct": false and
@@ -51,16 +54,19 @@ let specs =
   ]
 
 let n_nodes = 3
-let setups = 15
+let setups = 25
 let warmup_s = 1.5
 let attempt_s = 0.5
 let cap_s = 4.0
 let crash_after_s = 1.0
 let outage_s = 3.5
 let trace_sample = 16
+let traced_window_s = 12.
 let flight_cap = 262144
 let max_traces = 1024
 let setup_session = 1_000_000
+let bucket_s = 2.0
+let min_bucket_samples = 20
 
 let now = Unix.gettimeofday
 let log fmt = Printf.ksprintf (fun s -> print_string s; print_newline ()) fmt
@@ -157,14 +163,16 @@ let pct a p =
 
 let median l = pct (sorted l) 50.
 
-(* Mean of the middle half. Set-up times are bimodal (the WAL's
-   creation fsyncs take about 2 ms or 6 ms), so their median flips
-   between the modes from run to run. *)
-let iq_mean l =
+(* Mean without the highest and lowest tenth. Set-up times are bimodal
+   (about 1.5 ms or 5.5 ms in broadcast mode: one journal commit more or
+   less), and the share of each mode drifts with the host; the median
+   jumps between the modes where this follows the share. *)
+let trimmed_mean l =
   let a = sorted l in
-  let q = Array.length a / 4 in
-  let mid = Array.sub a q (Array.length a - (2 * q)) in
+  let k = Array.length a / 10 in
+  let mid = Array.sub a k (Array.length a - (2 * k)) in
   Array.fold_left ( +. ) 0. mid /. float (Array.length mid)
+
 let mean l = match l with [] -> 0. | _ -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 let ratio a b = if b = 0. then 0. else a /. b
 
@@ -205,6 +213,9 @@ type phase = {
   ri_calls : int;
   ri_spans : float list;
   late : float list;
+  edges : float array;  (* bucket boundaries, [w0] to [w1] *)
+  cpu_at : float array;  (* process CPU seconds at each boundary *)
+  steal_at : (int * int) array;  (* [steal_of] the pinned CPU at each boundary *)
   failover : float option;
   catchup : float option;
   recover_call : float option;
@@ -214,7 +225,8 @@ type phase = {
 
 (* The elements prepended to a list between two snapshots of it. *)
 let added ~before ~after =
-  List.filteri (fun i _ -> i < List.length after - List.length before) after
+  let k = List.length after - List.length before in
+  List.filteri (fun i _ -> i < k) after
 
 let converge svc =
   let digests () = List.init n_nodes (fun i -> Service.digest svc ~node:i) in
@@ -312,11 +324,31 @@ let crash_controller svc (g : Gen.t) win ~w0 ~catchup_deadline ctl =
   in
   poll ()
 
+(* The longest stretch of [w0, w1] in which no request completed, and
+   where it began. Retries and failover keep a healthy cluster far below
+   [cap_s]; a stretch that long is a liveness failure, not a slow run. *)
+let longest_stall (g : Gen.t) ~w0 ~w1 =
+  let dones =
+    List.filter_map
+      (fun (s : Gen.sample) -> if s.s_ok && s.s_done > w0 && s.s_done < w1 then Some s.s_done else None)
+      g.samples
+  in
+  let a = sorted (w0 :: w1 :: dones) in
+  let best = ref (0., w0) in
+  for i = 1 to Array.length a - 1 do
+    if a.(i) -. a.(i - 1) > fst !best then best := (a.(i) -. a.(i - 1), a.(i - 1))
+  done;
+  !best
+
 let run_phase spec ~seed ~seconds ~dir ~traced ~cpu =
   Unix.mkdir dir 0o755;
   let setup_times = ref [] in
   let svc = ref None in
   for k = 1 to setups do
+    (* Write back what the previous set-up (or run) left dirty first:
+       without it, set-ups took about 2.5 ms or 6 ms (one more journal
+       commit), and the share of slow ones swung from run to run. *)
+    ignore (Sys.command "sync");
     let d = Filename.concat dir (Printf.sprintf "cluster%d" k) in
     let s, dt = setup_once spec ~dir:d ~traced in
     setup_times := dt :: !setup_times;
@@ -326,6 +358,8 @@ let run_phase spec ~seed ~seconds ~dir ~traced ~cpu =
     end
     else svc := Some s
   done;
+  log "[%s] set-ups (ms): %s" spec.name
+    (String.concat " " (List.map (fun t -> Printf.sprintf "%.1f" (1e3 *. t)) (List.rev !setup_times)));
   let cluster_dir = Filename.concat dir (Printf.sprintf "cluster%d" setups) in
   let svc = Option.get !svc in
   let stopped = ref false in
@@ -375,20 +409,39 @@ let run_phase spec ~seed ~seconds ~dir ~traced ~cpu =
            ())
     else None
   in
-  let steal0 = steal_of cpu in
-  Gen.drive g ~until:w1;
-  let steal1 = steal_of cpu in
+  let proc_cpu () = let t = Unix.times () in t.Unix.tms_utime +. t.Unix.tms_stime in
+  let nb = max 1 (int_of_float (Float.round (seconds /. bucket_s))) in
+  let edges = Array.init (nb + 1) (fun b -> if b = nb then w1 else w0 +. (seconds *. float b /. float nb)) in
+  let cpu_at = Array.make (nb + 1) (proc_cpu ()) in
+  let steal_at = Array.make (nb + 1) (steal_of cpu) in
+  for b = 1 to nb do
+    Gen.drive g ~until:edges.(b);
+    cpu_at.(b) <- proc_cpu ();
+    steal_at.(b) <- steal_of cpu
+  done;
+  let steal0 = steal_at.(0) and steal1 = steal_at.(nb) in
   let cpu1 = Unix.times () and mw1 = Gc.minor_words () and gc1 = (Gc.quick_stat ()).major_collections in
   let r1, nr1, rc1, sp1, late1 = snap () in
+  let mark what = log "[%s] %s %.2f s after the window" spec.name what (now () -. w1) in
   Gen.drain g;
   drained_at := now ();
+  mark "drained";
   Option.iter Thread.join ctl_thread;
   let delta = Win.finish win rt in
   Service.stop_maintenance svc;
   let errors = ref (Option.to_list ctl.c_error) in
   if not (converge svc) then errors := "replicas did not converge within 20 s" :: !errors
   else errors := !errors @ check_sessions svc g;
+  mark "converged and checked";
   if g.gaps > 0 then errors := Printf.sprintf "%d requests answered Gap" g.gaps :: !errors;
+  (match longest_stall g ~w0 ~w1 with
+  | gap, at when gap >= cap_s ->
+    errors :=
+      Printf.sprintf
+        "the cluster stalled: no request completed for %.1f s from %.1f s into the window (%d undecodable datagrams)"
+        gap (at -. w0) (Win.counter delta "udp_rx_undecodable")
+      :: !errors
+  | _ -> ());
   Option.iter History.close history;
   let doctor =
     if traced then begin
@@ -426,12 +479,23 @@ let run_phase spec ~seed ~seconds ~dir ~traced ~cpu =
     ri_calls = rc1 - rc0;
     ri_spans = added ~before:sp0 ~after:sp1;
     late = added ~before:late0 ~after:late1;
+    edges;
+    cpu_at;
+    steal_at;
     failover = g.failover;
     catchup = ctl.c_catchup;
     recover_call = ctl.c_recover_call;
     errors = !errors;
     doctor;
   }
+
+type bucket = {
+  b_writes : float array;  (* sorted latencies of the bucket's due requests *)
+  b_reads : float array;
+  b_done : int;  (* requests completed inside the bucket *)
+  b_cpu : float;  (* process CPU seconds spent inside the bucket *)
+  b_steal : float;  (* share of the pinned CPU's time the host stole *)
+}
 
 type window = {
   measured : Gen.sample list;  (* due inside the window *)
@@ -440,6 +504,7 @@ type window = {
   failed : int;
   writes : float array;  (* latency from due, seconds; failed at the cap *)
   reads : float array;
+  buckets : bucket array;
 }
 
 let window_of (p : phase) =
@@ -451,6 +516,35 @@ let window_of (p : phase) =
          measured)
   in
   let completed = List.length (List.filter (fun (s : Gen.sample) -> s.s_ok) measured) in
+  let nb = Array.length p.edges - 1 in
+  let bucket_of t =
+    let rec go b = if b >= nb - 1 || t < p.edges.(b + 1) then b else go (b + 1) in
+    go 0
+  in
+  let b_lat = Array.init nb (fun _ -> ([], [])) and b_done = Array.make nb 0 in
+  List.iter
+    (fun (s : Gen.sample) ->
+      let b = bucket_of s.s_due in
+      let w, r = b_lat.(b) in
+      let x = s.s_done -. s.s_due in
+      b_lat.(b) <- (if s.s_kind = Gen.Write then (x :: w, r) else (w, x :: r)))
+    measured;
+  List.iter
+    (fun (s : Gen.sample) ->
+      if s.s_ok && s.s_done >= p.w0 && s.s_done < p.w1 then begin
+        let b = bucket_of s.s_done in
+        b_done.(b) <- b_done.(b) + 1
+      end)
+    p.g.samples;
+  let buckets =
+    Array.init nb (fun b ->
+        let w, r = b_lat.(b) in
+        { b_writes = sorted w; b_reads = sorted r; b_done = b_done.(b);
+          b_cpu = p.cpu_at.(b + 1) -. p.cpu_at.(b);
+          b_steal =
+            (let (s0, t0), (s1, t1) = (p.steal_at.(b), p.steal_at.(b + 1)) in
+             ratio (float (s1 - s0)) (float (t1 - t0))) })
+  in
   (* the drain leaves no request unanswered: each one due in the window
      has completed, or failed by shedding or expiry *)
   let attempted = List.length measured in
@@ -461,7 +555,41 @@ let window_of (p : phase) =
     failed = attempted - completed;
     writes = lat Gen.Write;
     reads = lat Gen.Read;
+    buckets;
   }
+
+(* Median over [buckets] of a per-bucket figure; buckets with fewer
+   than [min_bucket_samples] samples are left out, and the pooled
+   figure stands in when every bucket is that thin. *)
+let bucket_median buckets ~samples ~figure ~pooled =
+  match
+    List.filter_map
+      (fun b -> if samples b >= min_bucket_samples then Some (figure b) else None)
+      buckets
+  with
+  | [] -> pooled
+  | l -> median l
+
+(* The buckets in which the host stole no more of the pinned CPU than in
+   the median bucket: at least half of them, all of them where steal is
+   not reported. Latency at light load follows steal closely (about
+   +0.35 ms of write p50 per 10% steal on read_lease), and steal comes
+   in episodes, so this leaves out the host rather than the program. *)
+let quiet_buckets (w : window) =
+  let limit = median (Array.to_list (Array.map (fun b -> b.b_steal) w.buckets)) in
+  List.filter (fun b -> b.b_steal <= limit) (Array.to_list w.buckets)
+
+let write_p50 w =
+  bucket_median (quiet_buckets w) ~samples:(fun b -> Array.length b.b_writes)
+    ~figure:(fun b -> pct b.b_writes 50.) ~pooled:(pct w.writes 50.)
+
+let read_p50 w =
+  bucket_median (quiet_buckets w) ~samples:(fun b -> Array.length b.b_reads)
+    ~figure:(fun b -> pct b.b_reads 50.) ~pooled:(pct w.reads 50.)
+
+let cpu_per_op (p : phase) w =
+  bucket_median (Array.to_list w.buckets) ~samples:(fun b -> b.b_done)
+    ~figure:(fun b -> b.b_cpu /. float b.b_done) ~pooled:(ratio p.cpu_s (float_of_int w.completed))
 
 (* ---- reporting ------------------------------------------------------- *)
 
@@ -485,11 +613,9 @@ let json_of ~correct ~attempted ~failed metrics =
 
 let end_to_end (p : phase) (w : window) =
   [
-    m "setup_s" "s" (iq_mean p.setup_times);
-    m "ops_s" "1/s" (float_of_int w.completed /. (p.w1 -. p.w0));
-    m "write_p50_ms" "ms" (1e3 *. pct w.writes 50.);
-    m "read_p50_us" "us" (1e6 *. pct w.reads 50.);
-    m "cpu_us_per_op" "us" (1e6 *. ratio p.cpu_s (float_of_int w.completed));
+    m "setup_s" "s" (trimmed_mean p.setup_times);
+    m "write_p50_ms" "ms" (1e3 *. write_p50 w);
+    m "read_p50_us" "us" (1e6 *. read_p50 w);
   ]
 
 let stage (r : Doctor.report) prefix =
@@ -539,6 +665,7 @@ let layer_metrics spec (p : phase) (w : window) =
   let metrics =
     [
       (* generator and request accounting *)
+      m "service.ops_s" "1/s" (float_of_int w.completed /. (p.w1 -. p.w0));
       m "service.fail_frac" "ratio" (ratio (float w.failed) (float (max 1 w.attempted)));
       m "service.write_p99_ms" "ms" (1e3 *. pct w.writes 99.);
       m "service.write_n" "count" (float (Array.length w.writes));
@@ -590,6 +717,7 @@ let layer_metrics spec (p : phase) (w : window) =
       cr (m "recovery.failover_ms" "ms" (1e3 *. Option.value ~default:0. p.failover));
       cr (m "recovery.catchup_s" "s" (Option.value ~default:0. p.catchup));
       (* process and host *)
+      m "proc.cpu_us_per_op" "us" (1e6 *. cpu_per_op p w);
       m "host.steal_frac" "ratio" p.steal_frac;
       m "proc.minor_words_per_op" "words/op" (p.minor_words /. ops);
       m "proc.major_gcs" "count" (float p.major_gcs);
@@ -676,7 +804,15 @@ let () =
     let cpu = Option.map int_of_string (List.assoc_opt "cpu" kv) in
     let p = run_phase spec ~seed ~seconds ~dir:(Filename.concat dir "plain") ~traced:false ~cpu in
     let w = window_of p in
-    let tp = if traced then Some (run_phase spec ~seed ~seconds ~dir:(Filename.concat dir "traced") ~traced:true ~cpu) else None in
+    (* the traced phase keeps a shorter window so that its flight rings
+       hold the whole window, the crash and recovery included *)
+    let tp =
+      if traced then
+        Some
+          (run_phase spec ~seed ~seconds:(Float.min seconds traced_window_s)
+             ~dir:(Filename.concat dir "traced") ~traced:true ~cpu)
+      else None
+    in
     let errors = p.errors @ (match tp with Some t -> t.errors | None -> []) in
     List.iter (fun e -> log "CHECK FAILED: %s" e) errors;
     let layers, absent = layer_metrics spec p w in
@@ -689,6 +825,12 @@ let () =
         let traced, absent' = traced_metrics spec w tp (window_of tp) in
         (layers @ traced, absent @ absent')
     in
+    Array.iteri
+      (fun i b ->
+        log "  bucket %2d: %5d writes p50 %8.3f ms, %6d reads p50 %9.1f us, %6d done, %7.1f us CPU/op, steal %.3f" i
+          (Array.length b.b_writes) (1e3 *. pct b.b_writes 50.) (Array.length b.b_reads)
+          (1e6 *. pct b.b_reads 50.) b.b_done (1e6 *. ratio b.b_cpu (float b.b_done)) b.b_steal)
+      w.buckets;
     List.iter (fun x -> log "  %-34s %14.4f %s" x.m_name x.m_value x.m_unit) metrics;
     List.iter (fun (name, why) -> log "absent: %s (reported as 0): %s" name why) absent;
     log "window: %d attempted, %d completed, %d failed (%d shed, %d expired); %d writes, %d reads measured"
