@@ -150,16 +150,30 @@ let rec tick t =
     (match t.proposal with
     | Some _ when t.leader () = t.io.self -> start_ballot t
     | _ -> t.io.multisend Query);
-    let jitter = Rng.int t.io.rng (!retry_period / 2 + 1) in
-    t.io.after (!retry_period + jitter) (fun () -> tick t)
+    arm_retry t
   end
   else t.ticking <- false
 
+and arm_retry t =
+  let jitter = Rng.int t.io.rng (!retry_period / 2 + 1) in
+  t.io.after (!retry_period + jitter) (fun () -> tick t)
+
+(* Start rule (paper Fig. 2: instance k starts as soon as there is
+   something to order). The Ω leader opens its ballot at once and arms
+   only the jittered retry; anyone else first Queries after a small
+   random offset. Retries keep their jitter, which desynchronizes
+   competing proposers. *)
 let ensure_ticking t =
   if (not t.ticking) && t.decided = None then begin
     t.ticking <- true;
-    (* Small random offset desynchronizes competing proposers. *)
-    t.io.after (1 + Rng.int t.io.rng (!retry_period / 4 + 1)) (fun () -> tick t)
+    if t.leader () = t.io.self then begin
+      start_ballot t;
+      arm_retry t
+    end
+    else
+      t.io.after
+        (1 + Rng.int t.io.rng (!retry_period / 4 + 1))
+        (fun () -> tick t)
   end
 
 let create io ~instance ~leader ~on_decide =

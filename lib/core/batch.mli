@@ -8,25 +8,25 @@
 
 val encode : Payload.t list -> Abcast_consensus.Consensus_intf.value
 
-val encode_sorted : Payload.t list -> Abcast_consensus.Consensus_intf.value
-(** Like {!encode} but the caller guarantees the list is already sorted
-    by identity and duplicate-free (e.g. it came out of the protocol's
-    incrementally sorted [Unordered] structure) — skips the O(n log n)
-    re-sort on the proposal hot path. Encodings are interchangeable with
-    {!encode}'s for such inputs. *)
+type scratch
+(** Reusable encode buffers. Not thread-safe: each protocol instance
+    owns its own, so nodes running on separate threads never share one. *)
+
+val scratch : unit -> scratch
 
 val encode_sorted_bounded :
+  scratch ->
   max_bytes:int ->
   Payload.t list ->
   Abcast_consensus.Consensus_intf.value * Payload.t list * Payload.t list
-(** [encode_sorted_bounded ~max_bytes payloads] encodes the longest
+(** [encode_sorted_bounded s ~max_bytes payloads] encodes the longest
     prefix of the (sorted, duplicate-free) list whose payload bodies fit
     in [max_bytes] — always at least one payload. Returns
     [(value, included, excluded)]; [excluded] stays in [Unordered] for a
     later instance. Because the cut respects identity order, [included]
     carries a contiguous per-stream prefix of the backlog, which is what
     keeps pipelined decisions appendable in FIFO order. The encoding of
-    a fully-included list is byte-identical to {!encode_sorted}'s. *)
+    a fully-included list is byte-identical to {!encode}'s. *)
 
 val decode : Abcast_consensus.Consensus_intf.value -> Payload.t list
 (** Inverse of {!encode}; the result is sorted by identity. Only for

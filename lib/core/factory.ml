@@ -10,8 +10,8 @@ type group_app_factory =
 let topology_suffix = function Some `Ring -> "+ring" | Some `Gossip | None -> ""
 
 let basic ?(consensus = `Paxos) ?gossip_period ?delta_gossip
-    ?gossip_full_every ?dissemination ?max_batch_bytes ?ring_flush_us
-    ?need_cap ?trace_sample ?audit_every () : Proto.t =
+    ?gossip_full_every ?dissemination ?max_batch_bytes ?need_cap
+    ?trace_sample ?audit_every () : Proto.t =
   let make (module C : Abcast_consensus.Consensus_intf.S) =
     let module P = Protocol.Make (C) in
     (module struct
@@ -35,8 +35,8 @@ let basic ?(consensus = `Paxos) ?gossip_period ?delta_gossip
 
       let create io ~deliver =
         P.Basic.create ?gossip_period ?delta_gossip ?gossip_full_every
-          ?dissemination ?max_batch_bytes ?ring_flush_us ?need_cap
-          ?trace_sample ?audit_every io
+          ?dissemination ?max_batch_bytes ?need_cap ?trace_sample
+          ?audit_every io
           ~on_deliver:(fun p -> deliver ~group:0 p)
 
       let broadcast_blocks = true
@@ -74,8 +74,8 @@ let basic ?(consensus = `Paxos) ?gossip_period ?delta_gossip
 let alternative_named label ?(consensus = `Paxos) ?gossip_period
     ?checkpoint_period ?delta ?early_return ?incremental ?paranoid_log
     ?window ?trim_state ?delta_gossip ?gossip_full_every ?dissemination
-    ?max_batch_bytes ?ring_flush_us ?need_cap ?trace_sample ?audit_every
-    ?fault_reorder_node ?app_factory ?group_app_factory () : Proto.t =
+    ?max_batch_bytes ?need_cap ?trace_sample ?audit_every ?fault_reorder_node
+    ?app_factory ?group_app_factory () : Proto.t =
   let make (module C : Abcast_consensus.Consensus_intf.S) =
     let module P = Protocol.Make (C) in
     (module struct
@@ -155,8 +155,8 @@ let alternative_named label ?(consensus = `Paxos) ?gossip_period
         P.Alternative.create ?gossip_period ?checkpoint_period ?delta
           ?early_return ?incremental ?paranoid_log ?window ?trim_state
           ?delta_gossip ?gossip_full_every ?dissemination ?max_batch_bytes
-          ?ring_flush_us ?need_cap ?trace_sample ?audit_every
-          ~fault_reorder_once ?app io ~on_deliver:deliver
+          ?need_cap ?trace_sample ?audit_every ~fault_reorder_once ?app io
+          ~on_deliver:deliver
 
       let broadcast_blocks = not (Option.value early_return ~default:true)
 
@@ -192,14 +192,12 @@ let alternative_named label ?(consensus = `Paxos) ?gossip_period
 
 let alternative ?consensus ?gossip_period ?checkpoint_period ?delta
     ?early_return ?incremental ?paranoid_log ?window ?trim_state ?delta_gossip
-    ?gossip_full_every ?dissemination ?max_batch_bytes ?ring_flush_us
-    ?need_cap ?trace_sample ?audit_every ?fault_reorder_node ?app_factory
-    ?group_app_factory () =
+    ?gossip_full_every ?dissemination ?max_batch_bytes ?need_cap ?trace_sample
+    ?audit_every ?fault_reorder_node ?app_factory ?group_app_factory () =
   alternative_named "alt" ?consensus ?gossip_period ?checkpoint_period ?delta
     ?early_return ?incremental ?paranoid_log ?window ?trim_state ?delta_gossip
-    ?gossip_full_every ?dissemination ?max_batch_bytes ?ring_flush_us
-    ?need_cap ?trace_sample ?audit_every ?fault_reorder_node ?app_factory
-    ?group_app_factory ()
+    ?gossip_full_every ?dissemination ?max_batch_bytes ?need_cap ?trace_sample
+    ?audit_every ?fault_reorder_node ?app_factory ?group_app_factory ()
 
 (* With ring dissemination the payloads never wait on a gossip tick —
    digests only repair a torn ring — so the preset slows the gossip task

@@ -28,7 +28,6 @@ val basic :
   ?gossip_full_every:int ->
   ?dissemination:[ `Gossip | `Ring ] ->
   ?max_batch_bytes:int ->
-  ?ring_flush_us:int ->
   ?need_cap:int ->
   ?trace_sample:int ->
   ?audit_every:int ->
@@ -59,7 +58,6 @@ val alternative :
   ?gossip_full_every:int ->
   ?dissemination:[ `Gossip | `Ring ] ->
   ?max_batch_bytes:int ->
-  ?ring_flush_us:int ->
   ?need_cap:int ->
   ?trace_sample:int ->
   ?audit_every:int ->

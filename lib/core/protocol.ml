@@ -232,7 +232,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     max_batch_bytes : int;
         (* bytes budget for one proposal's payload bodies: the adaptive
            batch is the whole backlog, cut at this bound *)
-    ring_flush_us : int; (* coalescing delay before forwarding ring entries *)
     need_cap : int; (* max missing ids pulled per digest exchange *)
     trace_sample : int;
         (* 0 = no causal tracing; k > 0 samples every k-th local
@@ -263,7 +262,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       gossip_full_every = 8;
       dissemination = `Gossip;
       max_batch_bytes = 24_000;
-      ring_flush_us = 400;
       need_cap = 128;
       trace_sample = 0;
       audit_every = 1;
@@ -309,6 +307,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     multi : M.t;
     mh : handles;
     size : msg -> int; (* this node's own one-slot msg_size memo *)
+    batch_scratch : Batch.scratch; (* this node's proposal encode buffers *)
     pipe : M.Pipeline.t; (* in-order commit cursor over the instance window *)
     mutable agreed : Agreed.t;
     unordered : Payload.t Ptbl.t;
@@ -329,8 +328,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         (* ids inside our own not-yet-decided proposals (window > 1) *)
     mutable ring_pending : (int * Payload.t) list;
         (* entries awaiting the next coalesced forward to our successor,
-           in reverse arrival order *)
-    mutable ring_armed : bool; (* a flush timer is outstanding *)
+           in reverse arrival order; non-empty iff a flush is armed *)
     stream_contig : (int * int, int) Hashtbl.t;
         (* per (origin, boot): highest seq s such that every seq <= s is
            covered — delivered (in Agreed) or held in Unordered. Coverage
@@ -600,7 +598,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
        paper's idempotence requires; the excluded suffix stays in
        [Unordered] for the next instance of the window. *)
     let value, batch, _excluded =
-      Batch.encode_sorted_bounded ~max_bytes:t.mode.max_batch_bytes backlog
+      Batch.encode_sorted_bounded t.batch_scratch
+        ~max_bytes:t.mode.max_batch_bytes backlog
     in
     (* First time one of our own messages enters a proposal: close the
        batching-delay stage. The [p_proposed < 0] guard keeps re-proposals
@@ -783,15 +782,15 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   (* --- Ring dissemination -------------------------------------------- *)
 
   (* Payloads travel around the ring once: the origin enqueues n-1 hops,
-     every receiver forwards with one hop less. Entries are coalesced for
-     [ring_flush_us] before the (single) send to our successor, and split
-     into messages that respect the bytes budget. Crashed successors tear
-     the ring — the digest/pull gossip keeps running underneath as the
-     repair path, so liveness never depends on an intact ring. *)
+     every receiver forwards with one hop less. The entries one event
+     produces are coalesced into the (single) send to our successor at
+     the end of that event, with no added wait, and split into messages
+     that respect the bytes budget. Crashed successors tear the ring —
+     the digest/pull gossip keeps running underneath as the repair path,
+     so liveness never depends on an intact ring. *)
   let ring_entry_cost (p : Payload.t) = String.length p.data + 16
 
-  let rec ring_flush t =
-    t.ring_armed <- false;
+  let ring_flush t =
     let entries = List.rev t.ring_pending in
     t.ring_pending <- [];
     if entries <> [] then begin
@@ -815,13 +814,10 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       chunked 0 [] entries
     end
 
-  and ring_enqueue t hops (p : Payload.t) =
+  let ring_enqueue t hops (p : Payload.t) =
     if t.mode.dissemination = `Ring && hops > 0 && t.io.n > 1 then begin
-      t.ring_pending <- (hops, p) :: t.ring_pending;
-      if not t.ring_armed then begin
-        t.ring_armed <- true;
-        t.io.after t.mode.ring_flush_us (fun () -> ring_flush t)
-      end
+      if t.ring_pending = [] then t.io.after 0 (fun () -> ring_flush t);
+      t.ring_pending <- (hops, p) :: t.ring_pending
     end
 
   (* The order certificate riding this gossip tick, if the cadence says
@@ -1127,6 +1123,7 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         multi;
         mh;
         size = make_msg_size ();
+        batch_scratch = Batch.scratch ();
         pipe = M.Pipeline.attach multi ~width:mode.window;
         agreed = Agreed.create ();
         unordered = Ptbl.create 64;
@@ -1140,7 +1137,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         own_props = Hashtbl.create 8;
         covered_ids = Ptbl.create 64;
         ring_pending = [];
-        ring_armed = false;
         stream_contig = Hashtbl.create 16;
         stream_maxseen = Hashtbl.create 16;
         ck_slot =
@@ -1242,8 +1238,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
 
     let create ?(gossip_period = 3_000) ?(delta_gossip = true)
         ?(gossip_full_every = 8) ?(dissemination = `Gossip)
-        ?(max_batch_bytes = 24_000) ?(ring_flush_us = 400) ?(need_cap = 128)
-        ?(trace_sample = 0) ?(audit_every = 1) io ~on_deliver =
+        ?(max_batch_bytes = 24_000) ?(need_cap = 128) ?(trace_sample = 0)
+        ?(audit_every = 1) io ~on_deliver =
       if gossip_full_every < 1 then
         invalid_arg "Basic.create: gossip_full_every must be >= 1";
       if max_batch_bytes < 1 then
@@ -1261,7 +1257,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           gossip_full_every;
           dissemination;
           max_batch_bytes;
-          ring_flush_us;
           need_cap;
           trace_sample;
           audit_every;
@@ -1282,8 +1277,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
         ?(paranoid_log = false) ?(window = 1) ?(trim_state = true)
         ?(delta_gossip = true) ?(gossip_full_every = 8)
         ?(dissemination = `Gossip) ?(max_batch_bytes = 24_000)
-        ?(ring_flush_us = 400) ?(need_cap = 128) ?(trace_sample = 0)
-        ?(audit_every = 1) ?(fault_reorder_once = false) ?app io ~on_deliver =
+        ?(need_cap = 128) ?(trace_sample = 0) ?(audit_every = 1)
+        ?(fault_reorder_once = false) ?app io ~on_deliver =
       if window < 1 then invalid_arg "Alternative.create: window must be >= 1";
       if gossip_full_every < 1 then
         invalid_arg "Alternative.create: gossip_full_every must be >= 1";
@@ -1309,7 +1304,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
           gossip_full_every;
           dissemination;
           max_batch_bytes;
-          ring_flush_us;
           need_cap;
           trace_sample;
           audit_every;

@@ -162,7 +162,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) : sig
       ?gossip_full_every:int ->
       ?dissemination:[ `Gossip | `Ring ] ->
       ?max_batch_bytes:int ->
-      ?ring_flush_us:int ->
       ?need_cap:int ->
       ?trace_sample:int ->
       ?audit_every:int ->
@@ -184,9 +183,9 @@ module Make (C : Abcast_consensus.Consensus_intf.S) : sig
 
         [dissemination] (default [`Gossip]) selects the payload
         dissemination topology: [`Ring] forwards payload batches to the
-        successor process only (coalesced for [ring_flush_us], default
-        400 µs), with the digest/pull gossip retained as the repair path
-        after crashes. [max_batch_bytes] (default 24_000) bounds one
+        successor process only (the entries one event produces share one
+        send, with no added wait), with the digest/pull gossip retained
+        as the repair path after crashes. [max_batch_bytes] (default 24_000) bounds one
         consensus proposal's payload bytes — the adaptive batch is the
         whole backlog, cut at this budget. [need_cap] (default 128)
         bounds how many missing ids one digest exchange will pull — the
@@ -227,7 +226,6 @@ module Make (C : Abcast_consensus.Consensus_intf.S) : sig
       ?gossip_full_every:int ->
       ?dissemination:[ `Gossip | `Ring ] ->
       ?max_batch_bytes:int ->
-      ?ring_flush_us:int ->
       ?need_cap:int ->
       ?trace_sample:int ->
       ?audit_every:int ->
@@ -268,8 +266,8 @@ module Make (C : Abcast_consensus.Consensus_intf.S) : sig
         predecessor is missing is skipped deterministically and
         re-proposed rather than breaking the FIFO invariant.
 
-        [dissemination]/[max_batch_bytes]/[ring_flush_us]/[need_cap]/
-        [trace_sample]/[audit_every]: as in {!Basic.create}.
+        [dissemination]/[max_batch_bytes]/[need_cap]/[trace_sample]/
+        [audit_every]: as in {!Basic.create}.
 
         [fault_reorder_once] (default false; tests only) arms a one-shot
         fault injection: the first decided batch carrying payloads of at

@@ -380,20 +380,40 @@ let analyze ?(max_traces = 64) ?(audit = false) ~dir () =
       in
       (* stuck consensus instance: proposed at some node, never decided
          anywhere in its group, while a later instance of that group did
-         decide (so it is not just in flight at the end of the run) *)
+         decide (so it is not just in flight at the end of the run). A
+         node whose ring dropped events may have decided, then lost, any
+         instance older than the oldest decide it still holds (all of
+         them if it holds none; rings wrap unevenly, e.g. survivors run on
+         past a crashed proposer), so instances below that horizon are
+         left out. *)
       let groups =
         List.sort_uniq compare
           (List.map (fun (e : Flight.event) -> e.e_group) all)
       in
       List.iter
         (fun g ->
-          let decided =
-            List.filter_map
-              (fun (e : Flight.event) ->
-                if e.e_group = g then Some e.e_a else None)
-              decides
+          let decided = Hashtbl.create 256 in
+          let oldest_held = Hashtbl.create 8 in
+          List.iter
+            (fun (e : Flight.event) ->
+              if e.e_group = g then begin
+                Hashtbl.replace decided e.e_a ();
+                match Hashtbl.find_opt oldest_held e.e_node with
+                | Some j when j <= e.e_a -> ()
+                | _ -> Hashtbl.replace oldest_held e.e_node e.e_a
+              end)
+            decides;
+          let max_decided = Hashtbl.fold (fun j () m -> max j m) decided (-1) in
+          let horizon =
+            List.fold_left
+              (fun h (i, d) ->
+                if d = 0 then h
+                else
+                  max h
+                    (Option.value ~default:max_int
+                       (Hashtbl.find_opt oldest_held i)))
+              (-1) dropped_by_node
           in
-          let max_decided = List.fold_left max (-1) decided in
           let proposed =
             List.filter_map
               (fun (e : Flight.event) ->
@@ -403,7 +423,8 @@ let analyze ?(max_traces = 64) ?(audit = false) ~dir () =
           in
           List.iter
             (fun j ->
-              if j < max_decided && not (List.mem j decided) then
+              if j >= horizon && j < max_decided && not (Hashtbl.mem decided j)
+              then
                 flag "stuck-instance"
                   "group %d: instance %d proposed but never decided (max \
                    decided %d)"

@@ -161,6 +161,30 @@ end
 module Paxos_rig = Rig (Abcast_consensus.Paxos)
 module Coord_rig = Rig (Abcast_consensus.Coord)
 
+(* The leader opens its ballot at propose, so with a stable leader and a
+   fixed link delay d an instance costs exactly two round trips
+   (Prepare/Promise, Accept/Accepted): 4d, in one ballot, with no start
+   wait on top. *)
+let paxos_start_tests =
+  [
+    test "paxos: stable leader decides in exactly two round trips" (fun () ->
+        let d = 700 in
+        let net = Net.create ~delay_min:d ~delay_max:d ~heavy_tail:0.0 () in
+        let t = Paxos_rig.make ~seed:41 ~net () in
+        List.iter (fun i -> Paxos_rig.propose t i (Printf.sprintf "v%d" i)) [ 0; 1; 2 ];
+        Alcotest.(check string) "the leader's value" "v0"
+          (Paxos_rig.run_to_decision t);
+        let m = Engine.metrics t.eng in
+        let p2d = Metrics.hist m ~node:0 "cons.propose_to_decide_us" in
+        Alcotest.(check int) "one sample" 1 (Abcast_util.Histogram.count p2d);
+        Alcotest.(check (float 0.)) "propose->decide = 2 RTT"
+          (float_of_int (4 * d))
+          (Abcast_util.Histogram.max_value p2d);
+        Alcotest.(check (float 0.)) "one ballot" 1.
+          (Abcast_util.Histogram.max_value
+             (Metrics.hist m ~node:0 "cons.ballots")));
+  ]
+
 (* Safety must never depend on the quality of the leader oracle: give
    every process a lying oracle that always answers "you are the leader"
    (permanent duel) on a lossy network; whenever decisions happen, they
@@ -405,7 +429,8 @@ let pipelined_adversarial_tests =
 let suite =
   ( "consensus",
     Paxos_rig.tests "paxos" @ Coord_rig.tests "coord"
-    @ Paxos_adv.tests "paxos" @ Coord_adv.tests "coord" @ multi_tests
+    @ paxos_start_tests @ Paxos_adv.tests "paxos" @ Coord_adv.tests "coord"
+    @ multi_tests
     @ pipelined_adversarial_tests @ keys_tests
     @ List.map QCheck_alcotest.to_alcotest
         (keys_props

@@ -83,21 +83,29 @@ let paxos_tests =
         Alcotest.(check (option string)) "logged" (Some "v")
           (Storage.read p.store (Abcast_consensus.Consensus_intf.Keys.proposal 0));
         Alcotest.(check bool) "timer armed" true (not (Queue.is_empty p.timers)));
-    test "paxos: the leader's timer starts phase 1 with ballot r*n+self"
+    test "paxos: the leader's propose starts phase 1 with ballot r*n+self"
       (fun () ->
         let p, c, _ = paxos_make () in
         Paxos.propose c "v";
-        fire_next_timer p;
         let prepares = sent_prepares (take_sent p) in
-        Alcotest.(check int) "to everyone" 3 (List.length prepares);
+        Alcotest.(check int) "to everyone, no timer needed" 3
+          (List.length prepares);
         List.iter
           (fun (_, b) ->
             Alcotest.(check bool) "ballot = r*3+0, r>=1" true (b mod 3 = 0 && b >= 3))
-          prepares);
+          prepares;
+        (* only the jittered retry is armed: a short first tick would
+           start a second ballot right behind this one *)
+        match Queue.to_seq p.timers |> List.of_seq with
+        | [ (delay, _) ] ->
+          Alcotest.(check bool) "retry after retry_period" true
+            (delay >= !Paxos.retry_period)
+        | l -> Alcotest.failf "expected one retry timer, got %d" (List.length l));
     test "paxos: a non-leader queries instead of competing" (fun () ->
         let p, c, _ = paxos_make ~self:1 () in
         (* leader oracle says 0; self is 1 *)
         Paxos.propose c "v";
+        Alcotest.(check int) "silent until its tick" 0 (List.length (take_sent p));
         fire_next_timer p;
         let sent = take_sent p in
         Alcotest.(check bool) "no prepares" true (sent_prepares sent = []);
@@ -127,7 +135,6 @@ let paxos_tests =
       (fun () ->
         let p, c, _ = paxos_make () in
         Paxos.propose c "mine";
-        fire_next_timer p;
         let b =
           match sent_prepares (take_sent p) with
           | (_, b) :: _ -> b
@@ -146,7 +153,6 @@ let paxos_tests =
     test "paxos: free choice when no promise carries a value" (fun () ->
         let p, c, _ = paxos_make () in
         Paxos.propose c "mine";
-        fire_next_timer p;
         let b =
           match sent_prepares (take_sent p) with
           | (_, b) :: _ -> b
@@ -160,11 +166,11 @@ let paxos_tests =
               match m with Paxos.Accept { v; _ } -> Some v | _ -> None)
             (take_sent p)
         in
+        Alcotest.(check bool) "phase 2 started" true (accepts <> []);
         List.iter (Alcotest.(check string) "own value" "mine") accepts);
     test "paxos: majority of accepted acks decides, logs, announces" (fun () ->
         let p, c, decided = paxos_make () in
         Paxos.propose c "mine";
-        fire_next_timer p;
         let b =
           match sent_prepares (take_sent p) with
           | (_, b) :: _ -> b
@@ -197,14 +203,27 @@ let paxos_tests =
     test "paxos: reject pushes the next ballot higher" (fun () ->
         let p, c, _ = paxos_make () in
         Paxos.propose c "v";
-        fire_next_timer p;
         ignore (take_sent p);
         Paxos.handle c ~src:1 (Paxos.Reject { b = 30 });
         fire_next_timer p;
         let prepares = sent_prepares (take_sent p) in
+        Alcotest.(check bool) "retried" true (prepares <> []);
         List.iter
           (fun (_, b) -> Alcotest.(check bool) "above 30" true (b > 30))
           prepares);
+    test "paxos: a restored proposal restarts the leader's ballot at create"
+      (fun () ->
+        let p = probe () in
+        Storage.write p.store ~layer:Abcast_consensus.Consensus_intf.Keys.layer
+          ~key:(Abcast_consensus.Consensus_intf.Keys.proposal 0) "logged";
+        let c =
+          Paxos.create p.io ~instance:0 ~leader:self_leader ~on_decide:ignore
+        in
+        Alcotest.(check (option string)) "restored" (Some "logged")
+          (Paxos.proposal c);
+        Alcotest.(check int) "prepare to everyone" 3
+          (List.length (sent_prepares (take_sent p)));
+        Alcotest.(check int) "one retry timer" 1 (Queue.length p.timers));
   ]
 
 (* ---------------- Coord ---------------- *)

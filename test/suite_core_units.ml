@@ -240,6 +240,42 @@ let batch_tests =
     test "size is the string length" (fun () ->
         let v = Batch.encode [ pl (id 0 0 0) ] in
         Alcotest.(check int) "size" (String.length v) (Batch.size v));
+    test "bounded encode is safe on concurrent node threads" (fun () ->
+        (* The live runtime runs each node's protocol on its own thread.
+           Three threads encode their own proposals for 1 s, each through
+           its own scratch, and decode every value straight back: none may
+           come back corrupted. *)
+        let deadline = Unix.gettimeofday () +. 1.0 in
+        let worker origin =
+          let s = Batch.scratch () in
+          let batch =
+            List.init 64 (fun seq ->
+                pl ~data:(String.make (16 + seq) (Char.chr (65 + origin)))
+                  (id origin 0 seq))
+          in
+          let rounds = ref 0 and corrupted = ref 0 in
+          while Unix.gettimeofday () < deadline do
+            let v, included, _ =
+              Batch.encode_sorted_bounded s ~max_bytes:100_000 batch
+            in
+            if Batch.decode_opt v <> Some included then incr corrupted;
+            incr rounds
+          done;
+          (!rounds, !corrupted)
+        in
+        let results = Array.make 3 (0, 0) in
+        let threads =
+          List.init 3 (fun i ->
+              Thread.create (fun () -> results.(i) <- worker i) ())
+        in
+        List.iter Thread.join threads;
+        Array.iteri
+          (fun i (rounds, corrupted) ->
+            Alcotest.(check bool) (Printf.sprintf "thread %d ran" i) true
+              (rounds > 0);
+            Alcotest.(check int) (Printf.sprintf "thread %d corrupted" i) 0
+              corrupted)
+          results);
   ]
 
 let agreed_props =

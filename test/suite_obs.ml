@@ -701,6 +701,45 @@ let doctor_tests =
         | Some a ->
           Alcotest.(check bool) "names the instance" true
             (Astring.String.is_infix ~affix:"instance 2" a.Doctor.detail));
+    test "doctor: no false stuck-instance when rings wrap past a crash"
+      (fun () ->
+        (* node 0 proposed instance 2 and crashed before deciding it; the
+           survivors decided it but ran on until their rings overwrote
+           that decide, unevenly (node 1 keeps decides from about 175 on,
+           node 2 from about 75 on). Instance 250, never decided by anyone, sits
+           above both horizons and must still be flagged. *)
+        let fls =
+          healthy_cluster
+            ~extra:(fun i fl ->
+              let rec_ ~time ~stage ~a =
+                Flight.record fl ~time ~node:i ~group:0 ~boot:1 ~stage
+                  ~trace:0 ~a ~b:0
+              in
+              match i with
+              | 0 ->
+                rec_ ~time:150 ~stage:Flight.propose ~a:2;
+                rec_ ~time:160 ~stage:Flight.propose ~a:250
+              | _ ->
+                rec_ ~time:1200 ~stage:Flight.decide ~a:2;
+                for j = 4 to if i = 1 then 303 else 203 do
+                  if j <> 250 then rec_ ~time:(1200 + j) ~stage:Flight.decide ~a:j
+                done)
+            ()
+        in
+        let r = analyze_cluster fls in
+        let stuck =
+          List.filter
+            (fun a -> a.Doctor.code = "stuck-instance")
+            r.Doctor.anomalies
+        in
+        Alcotest.(check bool) "both survivors' rings wrapped" true
+          (List.for_all
+             (fun i -> List.assoc i r.Doctor.dropped_by_node > 0)
+             [ 1; 2 ]);
+        Alcotest.(check int) "one stuck instance" 1 (List.length stuck);
+        Alcotest.(check bool) "it is instance 250" true
+          (Astring.String.is_infix ~affix:"instance 250 "
+             (List.hd stuck).Doctor.detail));
     test "doctor: flags a dedup violation, excuses state-transfer holes"
       (fun () ->
         let dup =

@@ -748,6 +748,37 @@ let ring_tests =
           (Printf.sprintf "ring receives bounded (saw %d)" rx_ring)
           true
           (rx_ring > 0 && rx_ring <= 3));
+    test "ring: each hop forwards after one link delay, no added wait"
+      (fun () ->
+        (* n=4, fixed link delay d, one sampled broadcast at t0: the
+           entry reaches node k (k = 1..3 hops down the ring) at exactly
+           t0 + k*d — forwarding adds nothing to the wire time. *)
+        let d = 150 and t0 = 1_000 in
+        let net = Net.create ~delay_min:d ~delay_max:d ~heavy_tail:0.0 () in
+        let flights = Array.init 4 (fun _ -> Abcast_sim.Flight.create ~cap:256 ()) in
+        let cluster =
+          Cluster.create
+            (Factory.alternative ~dissemination:`Ring ~trace_sample:1 ())
+            ~seed:74 ~n:4 ~net
+            ~flight:(fun ~node -> flights.(node))
+            ()
+        in
+        Cluster.at cluster t0 (fun () ->
+            ignore (Cluster.broadcast cluster ~node:0 "hop-by-hop"));
+        Cluster.run cluster ~until:(t0 + (10 * d));
+        for k = 1 to 3 do
+          let rx =
+            List.filter_map
+              (fun (e : Abcast_sim.Flight.event) ->
+                if e.e_stage = Abcast_sim.Flight.rx_ring then Some e.e_time
+                else None)
+              (Abcast_sim.Flight.events flights.(k))
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "node %d first sees it by ring at t0+%dd" k k)
+            [ t0 + (k * d) ]
+            rx
+        done);
     test "ring: torn ring repaired by the digest/pull fallback" (fun () ->
         (* Crash node 1 — node 0's successor — so ring forwarding from 0
            is cut. Nodes 2..4 must still learn node 0's payloads through
