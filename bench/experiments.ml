@@ -844,12 +844,22 @@ let e15 () =
     (List.map row msgs)
 
 (* ------------------------------------------------------------------ *)
-(* E16 — durable stable storage: append throughput and recovery cost   *)
-(*       vs backend and fsync policy (the WAL of abcast.store against  *)
-(*       the file-per-key layout it subsumes).                         *)
+(* E16 — durable stable storage: WAL append throughput and recovery    *)
+(*       cost per fsync policy. [e16_rows] is also the durable-storage *)
+(*       section of the JSON bench.                                    *)
 
-let e16 () =
-  let module Durable = Abcast_store.Durable in
+type e16_row = {
+  st_policy : Abcast_store.Durable.policy;
+  st_ops : int;
+  st_appends_per_s : float;
+  st_fsyncs : int;
+  st_compactions : int;
+  st_disk_bytes : int;
+  st_recover_ms : float;
+  st_recovered : int;
+}
+
+let e16_run ~ops policy =
   let module Storage = Abcast_sim.Storage in
   let rec rm_rf path =
     match Unix.lstat path with
@@ -859,103 +869,84 @@ let e16 () =
     | _ -> ( try Sys.remove path with Sys_error _ -> ())
     | exception Unix.Unix_error _ -> ()
   in
-  let ops = scale 2_000 in
   let value = String.make 128 'v' in
-  let key_space = 64 in
-  let backend_name = function `Files -> "files" | _ -> "wal" in
-  let run backend policy =
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "abcast-e16-%d-%s-%s" (Unix.getpid ())
-           (backend_name backend)
-           (Durable.policy_to_string policy))
-    in
-    rm_rf dir;
-    let metrics = Metrics.create () in
-    let store = Storage.create ~dir ~backend ~fsync:policy ~metrics ~node:0 () in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to ops - 1 do
-      Storage.write store ~layer:"bench"
-        ~key:(Printf.sprintf "key%03d" (i mod key_space))
-        value
-    done;
-    let append_s = Unix.gettimeofday () -. t0 in
-    (* read before close: close issues one final fsync of its own *)
-    let fsyncs =
-      match backend with
-      | `Files -> Metrics.get metrics ~node:0 "file_fsyncs"
-      | _ -> Metrics.get metrics ~node:0 "wal_fsyncs"
-    in
-    let compactions =
-      match Storage.wal_stats store with
-      | Some s -> s.Abcast_store.Wal.compactions
-      | None -> 0
-    in
-    let disk = Storage.disk_bytes store in
-    Storage.close store;
-    let m2 = Metrics.create () in
-    let t1 = Unix.gettimeofday () in
-    let store2 = Storage.create ~dir ~backend ~fsync:policy ~metrics:m2 ~node:0 () in
-    let recover_ms = (Unix.gettimeofday () -. t1) *. 1_000.0 in
-    let recovered = Storage.retained_keys store2 in
-    Storage.close store2;
-    rm_rf dir;
-    ( fsyncs,
-      [
-        backend_name backend;
-        Durable.policy_to_string policy;
-        Table.num ops;
-        Table.flt ~dec:0 (float_of_int ops /. append_s);
-        Table.num fsyncs;
-        (match backend with `Files -> "-" | _ -> Table.num compactions);
-        Table.num disk;
-        Table.flt ~dec:3 recover_ms;
-        Table.num recovered;
-      ] )
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "abcast-e16-%d-%s" (Unix.getpid ())
+         (Abcast_store.Durable.policy_to_string policy))
   in
-  let policies =
-    [ Durable.Always; Durable.Every { ops = 64; ms = 20 }; Durable.Never ]
+  rm_rf dir;
+  let metrics = Metrics.create () in
+  let store = Storage.create ~dir ~fsync:policy ~metrics ~node:0 () in
+  let t0 = Unix.gettimeofday () in
+  for i = 0 to ops - 1 do
+    Storage.write store ~layer:"bench"
+      ~key:(Printf.sprintf "key%03d" (i mod 64))
+      value
+  done;
+  let append_s = Unix.gettimeofday () -. t0 in
+  (* read before close: close issues one final fsync of its own *)
+  let stats = Option.get (Storage.wal_stats store) in
+  let disk = Storage.disk_bytes store in
+  Storage.close store;
+  let t1 = Unix.gettimeofday () in
+  let store2 =
+    Storage.create ~dir ~fsync:policy ~metrics:(Metrics.create ()) ~node:0 ()
   in
-  let results =
-    List.concat_map
-      (fun backend ->
-        List.map (fun policy -> (backend, policy, run backend policy)) policies)
-      [ `Files; `Wal ]
-  in
+  let recover_ms = (Unix.gettimeofday () -. t1) *. 1_000.0 in
+  let recovered = Storage.retained_keys store2 in
+  Storage.close store2;
+  rm_rf dir;
+  {
+    st_policy = policy;
+    st_ops = ops;
+    st_appends_per_s = float_of_int ops /. append_s;
+    st_fsyncs = stats.fsyncs;
+    st_compactions = stats.compactions;
+    st_disk_bytes = disk;
+    st_recover_ms = recover_ms;
+    st_recovered = recovered;
+  }
+
+let e16_rows ~ops =
+  List.map (e16_run ~ops)
+    Abcast_store.Durable.[ Always; Every { ops = 64; ms = 20 }; Never ]
+
+let e16 () =
+  let rows = e16_rows ~ops:(scale 2_000) in
   Table.print
     ~title:
-      "E16: durable backend append throughput and recovery (128 B values, \
-       cycling keys; the WAL pays one sequential append per op where \
-       file-per-key pays a create+rename, and its compaction keeps the \
-       replayed bytes near the live state)"
+      "E16: WAL append throughput and recovery per fsync policy (128 B \
+       values cycling over 64 keys; one sequential append per op, and \
+       compaction keeps the replayed bytes near the live state)"
     ~header:
-      [ "backend"; "fsync"; "ops"; "appends/s"; "fsyncs"; "compactions";
-        "disk B"; "recover ms"; "keys" ]
-    (List.map (fun (_, _, (_, row)) -> row) results);
+      [ "fsync"; "ops"; "appends/s"; "fsyncs"; "compactions"; "disk B";
+        "recover ms"; "keys" ]
+    (List.map
+       (fun r ->
+         [
+           Abcast_store.Durable.policy_to_string r.st_policy;
+           Table.num r.st_ops;
+           Table.flt ~dec:0 r.st_appends_per_s;
+           Table.num r.st_fsyncs;
+           Table.num r.st_compactions;
+           Table.num r.st_disk_bytes;
+           Table.flt ~dec:3 r.st_recover_ms;
+           Table.num r.st_recovered;
+         ])
+       rows);
   (* The policies must order the sync counts; anything else means the
-     pacer is broken. (The WAL under Never still fsyncs its compaction
+     pacer is broken. (Under Never the WAL still fsyncs its compaction
      snapshots — durability of the rename is not policy-optional.) *)
-  List.iter
-    (fun backend ->
-      let count p =
-        List.find_map
-          (fun (b, p', (fsyncs, _)) ->
-            if b = backend && p' = p then Some fsyncs else None)
-          results
-        |> Option.get
-      in
-      let always = count Durable.Always
-      and every = count (Durable.Every { ops = 64; ms = 20 })
-      and never = count Durable.Never in
-      if always > every && every >= never then
-        Printf.printf "  %s: fsync ordering OK (always %d > every %d >= never %d)\n"
-          (backend_name backend) always every never
-      else
-        Printf.printf
-          "  %s: VIOLATION: fsync counts out of order (always %d, every %d, never %d)\n"
-          (backend_name backend) always every never)
-    [ `Files; `Wal ]
+  match List.map (fun r -> r.st_fsyncs) rows with
+  | [ always; every; never ] when always > every && every >= never ->
+    Printf.printf "  fsync ordering OK (always %d > every %d >= never %d)\n"
+      always every never
+  | counts ->
+    failwith
+      (Printf.sprintf "E16: fsync counts out of order (always, every, never = %s)"
+         (String.concat ", " (List.map string_of_int counts)))
 
 (* ------------------------------------------------------------------ *)
 (* E18 — the throughput ceiling: dissemination topology x pipeline      *)
@@ -1156,7 +1147,7 @@ let e20_run ~shards ~mode ~clients =
     }
   in
   let svc =
-    Service.create ~base_port ~dir ~backend:`Wal
+    Service.create ~base_port ~dir
       ~fsync:(Abcast_store.Durable.Every { ops = 64; ms = 20 })
       cfg
   in

@@ -51,8 +51,8 @@
      codec-vs-Marshal pairs, and the encoded bytes per value for a
      representative gossip message;
    - the durable-storage section: append throughput and reopen/recovery
-     time of the segmented WAL vs the file-per-key backend under each
-     fsync policy (the E16 workload, one repetition);
+     time of the segmented WAL under each fsync policy (the E16
+     workload, one repetition);
    - the observability section (new in schema 4): the delta-gossip
      steady run repeated with lifecycle tracing + spans enabled, the
      relative overhead against the traced-off run (the < 5% budget of
@@ -393,9 +393,6 @@ let micros () =
       time_ns ~iters:20_000 (fun () ->
           let s = Marshal.to_string gossip [] in
           ignore (Marshal.from_string s 0 : P.msg)) );
-    ( "hex_of_key_20B",
-      time_ns ~iters:2_000_000 (fun () ->
-          ignore (Abcast_sim.Storage.hex_of_key "cons/000123/proposal")) );
     ( "metrics_incr_string",
       time_ns ~iters:2_000_000 (fun () -> Metrics.incr m ~node:0 "rx.gossip") );
     ("metrics_hincr_interned", time_ns ~iters:10_000_000 (fun () -> Metrics.hincr h));
@@ -474,63 +471,18 @@ let live_bench () =
            (sum_ctr "wal_segments"))
     end
 
-(* Durable storage: append throughput and recovery cost per backend and
-   fsync policy (the machine-readable face of experiment E16). *)
+(* Durable storage: WAL append throughput and recovery cost per fsync
+   policy — experiment E16's measurement, one repetition. *)
 let storage_bench () =
-  let module Durable = Abcast_store.Durable in
-  let module Storage = Abcast_sim.Storage in
-  let rec rm_rf path =
-    match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      (try Unix.rmdir path with Unix.Unix_error _ -> ())
-    | _ -> ( try Sys.remove path with Sys_error _ -> ())
-    | exception Unix.Unix_error _ -> ()
-  in
-  let ops = 2_000 and value = String.make 128 'v' in
-  let run backend policy =
-    let name =
-      Printf.sprintf "%s_%s"
-        (match backend with `Files -> "files" | _ -> "wal")
-        (match policy with
-        | Durable.Always -> "always"
-        | Durable.Every _ -> "every_64_20"
-        | Durable.Never -> "never")
-    in
-    let dir =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "abcast-bench-store-%d-%s" (Unix.getpid ()) name)
-    in
-    rm_rf dir;
-    let metrics = Metrics.create () in
-    let store = Storage.create ~dir ~backend ~fsync:policy ~metrics ~node:0 () in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to ops - 1 do
-      Storage.write store ~layer:"bench"
-        ~key:(Printf.sprintf "key%03d" (i mod 64))
-        value
-    done;
-    let appends_per_s = float_of_int ops /. (Unix.gettimeofday () -. t0) in
-    let disk = Storage.disk_bytes store in
-    Storage.close store;
-    let m2 = Metrics.create () in
-    let t1 = Unix.gettimeofday () in
-    let store2 =
-      Storage.create ~dir ~backend ~fsync:policy ~metrics:m2 ~node:0 ()
-    in
-    let recover_ms = (Unix.gettimeofday () -. t1) *. 1_000.0 in
-    Storage.close store2;
-    rm_rf dir;
-    Printf.sprintf
-      {|    "%s": { "ops": %d, "appends_per_sec": %.0f, "disk_bytes": %d, "recover_ms": %.3f }|}
-      name ops appends_per_s disk recover_ms
-  in
-  List.concat_map
-    (fun backend ->
-      List.map (run backend)
-        [ Durable.Always; Durable.Every { ops = 64; ms = 20 }; Durable.Never ])
-    [ `Files; `Wal ]
+  Experiments.e16_rows ~ops:2_000
+  |> List.map (fun (r : Experiments.e16_row) ->
+         Printf.sprintf
+           {|    "wal_%s": { "ops": %d, "appends_per_sec": %.0f, "disk_bytes": %d, "recover_ms": %.3f }|}
+           (match r.st_policy with
+           | Abcast_store.Durable.Always -> "always"
+           | Every _ -> "every_64_20"
+           | Never -> "never")
+           r.st_ops r.st_appends_per_s r.st_disk_bytes r.st_recover_ms)
 
 (* Encoded bytes per value: the other axis of the codec change. *)
 let encoded_bytes () =

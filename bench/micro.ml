@@ -95,25 +95,6 @@ let msg_marshal_bench =
          let s = Marshal.to_string bench_msg [] in
          ignore (Marshal.from_string s 0 : PB.msg)))
 
-(* hex_of_key: lookup-table fast path vs the sprintf-per-byte
-   formulation it replaced (one filename per file-backed log write). *)
-let hex_key = "cons/000123/proposal"
-
-let hex_bench =
-  Test.make ~name:"storage hex_of_key, table (20B key)"
-    (Staged.stage (fun () -> ignore (Abcast_sim.Storage.hex_of_key hex_key)))
-
-let hex_sprintf_of_key key =
-  let buf = Buffer.create (2 * String.length key) in
-  String.iter
-    (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-    key;
-  Buffer.contents buf
-
-let hex_sprintf_bench =
-  Test.make ~name:"storage hex_of_key, sprintf (20B key)"
-    (Staged.stage (fun () -> ignore (hex_sprintf_of_key hex_key)))
-
 let storage_bench =
   Test.make ~name:"storage write (64B value)"
     (Staged.stage
@@ -162,9 +143,9 @@ let metrics_handle_bench =
 let tests =
   [
     rng_bench; heap_bench; storage_bench; vclock_bench; batch_bench;
-    batch_marshal_bench; msg_wire_bench; msg_marshal_bench; hex_bench;
-    hex_sprintf_bench; metrics_string_bench; metrics_handle_bench;
-    engine_bench; protocol_round_bench;
+    batch_marshal_bench; msg_wire_bench; msg_marshal_bench;
+    metrics_string_bench; metrics_handle_bench; engine_bench;
+    protocol_round_bench;
   ]
 
 let run () =

@@ -63,7 +63,7 @@ let make_stack stack consensus checkpoint_period delta ~window ~topo ~shards
 let is_latency_series name =
   List.exists
     (fun p -> String.starts_with ~prefix:p name)
-    [ "stage."; "cons."; "wal_"; "file_"; "lat_" ]
+    [ "stage."; "cons."; "wal_"; "lat_" ]
 
 let parse_fsync s =
   match Abcast_store.Durable.policy_of_string s with
@@ -83,29 +83,23 @@ let run_cmd stack consensus window topo shards partitioned_kv n seed msgs loss
     Trace.create ~enabled:(trace_on || trace_out <> None) ~echo:trace_on ()
   in
   let fsync = parse_fsync fsync in
-  let storage_dir =
-    (* Durable backends need a scratch directory; memory needs none. *)
-    lazy
-      (let d =
-         Filename.concat (Filename.get_temp_dir_name ())
-           (Printf.sprintf "abcast-sim-run-%d" (Unix.getpid ()))
-       in
-       (try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-       d)
-  in
   let storage =
     match backend with
     | "memory" -> None
-    | ("files" | "wal") as b ->
-      let backend = if b = "wal" then `Wal else `Files in
+    | "wal" ->
+      (* A durable run needs a scratch directory (the WAL creates it);
+         memory needs none. *)
+      let dir =
+        Filename.concat (Filename.get_temp_dir_name ())
+          (Printf.sprintf "abcast-sim-run-%d" (Unix.getpid ()))
+      in
       Some
         (fun ~metrics ~node ->
           Abcast_sim.Storage.create
-            ~dir:(Filename.concat (Lazy.force storage_dir)
-                    (Printf.sprintf "node%d" node))
-            ~backend ~fsync ~metrics ~node ())
+            ~dir:(Filename.concat dir (Printf.sprintf "node%d" node))
+            ~fsync ~metrics ~node ())
     | s ->
-      Printf.eprintf "unknown --backend %S (expected memory|files|wal)\n" s;
+      Printf.eprintf "unknown --backend %S (expected memory|wal)\n" s;
       exit 3
   in
   let cluster = Cluster.create stack_mod ~seed ~n ~net ~trace ?storage () in
@@ -323,20 +317,12 @@ let install_sigusr1 rt metrics_out =
               | None -> ())))
 
 let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
-    backend fsync metrics_port metrics_interval metrics_out trace_sample
+    fsync metrics_port metrics_interval metrics_out trace_sample
     dir_opt min_rate =
   let consensus = if consensus = "coord" then `Coord else `Paxos in
   let trace_sample = if trace_sample > 0 then Some trace_sample else None in
   let stack_mod =
     make_stack stack consensus 100_000 3 ~window ~topo ~shards ?trace_sample ()
-  in
-  let backend =
-    match backend with
-    | "wal" -> `Wal
-    | "files" -> `Files
-    | s ->
-      Printf.eprintf "unknown --backend %S (expected wal|files)\n" s;
-      exit 3
   in
   let fsync = parse_fsync fsync in
   let dir =
@@ -360,7 +346,7 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
     | None -> fun ~node:_ ~group:_ _ -> ()
   in
   match
-    Abcast_live.Runtime.create stack_mod ~n ~base_port ~dir ~backend ~fsync
+    Abcast_live.Runtime.create stack_mod ~n ~base_port ~dir ~fsync
       ~on_deliver ?metrics_port ~metrics_interval ?metrics_out ()
   with
   | exception Unix.Unix_error (e, _, _) ->
@@ -372,11 +358,8 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
     Fun.protect ~finally:(fun () -> Abcast_live.Runtime.shutdown live)
     @@ fun () ->
     Printf.printf
-      "%d live processes on udp/127.0.0.1:%d.. (storage: %s, backend: %s, \
-       fsync: %s)
-" n
+      "%d live processes on udp/127.0.0.1:%d.. (storage: %s, fsync: %s)\n" n
       base_port dir
-      (match backend with `Wal -> "wal" | `Files -> "files")
       (Abcast_store.Durable.policy_to_string fsync);
     (match metrics_port with
     | Some p ->
@@ -493,7 +476,7 @@ let live_cmd stack consensus window topo shards partitioned_kv n msgs base_port
     if not agree then exit 1
 
 let service_cmd n shards read_mode clients rate duration write_pct lin_pct
-    lease_ms timeout base_port backend fsync kills seed trace_sample dir_opt
+    lease_ms timeout base_port fsync kills seed trace_sample dir_opt
     metrics_port metrics_out history_out min_rate =
   let module Service = Abcast_service.Service in
   let module Loadgen = Abcast_service.Loadgen in
@@ -505,14 +488,6 @@ let service_cmd n shards read_mode clients rate duration write_pct lin_pct
       Printf.eprintf
         "unknown --read-mode %S (expected broadcast|read-index|stale)\n"
         read_mode;
-      exit 3
-  in
-  let backend =
-    match backend with
-    | "wal" -> `Wal
-    | "files" -> `Files
-    | s ->
-      Printf.eprintf "unknown --backend %S (expected wal|files)\n" s;
       exit 3
   in
   let fsync = parse_fsync fsync in
@@ -535,7 +510,7 @@ let service_cmd n shards read_mode clients rate duration write_pct lin_pct
   in
   let trace_sample = if trace_sample > 0 then Some trace_sample else None in
   match
-    Service.create ~base_port ~dir ~backend ~fsync ?trace_sample ?metrics_port
+    Service.create ~base_port ~dir ~fsync ?trace_sample ?metrics_port
       ~metrics_interval:1.0 ?metrics_out cfg
   with
   | exception Unix.Unix_error (e, _, _) ->
@@ -796,7 +771,7 @@ let run_t =
     Arg.(
       value
       & opt string "memory"
-      & info [ "backend" ] ~doc:"storage backend: memory|files|wal")
+      & info [ "backend" ] ~doc:"storage backend: memory|wal")
   in
   let fsync =
     Arg.(
@@ -837,9 +812,6 @@ let dir_arg =
 let live_t =
   let msgs = Arg.(value & opt int 30 & info [ "msgs" ] ~doc:"broadcast count") in
   let port = Arg.(value & opt int 7480 & info [ "port" ] ~doc:"UDP base port") in
-  let backend =
-    Arg.(value & opt string "wal" & info [ "backend" ] ~doc:"storage backend: wal|files")
-  in
   let fsync =
     Arg.(
       value
@@ -881,7 +853,7 @@ let live_t =
   in
   Term.(
     const live_cmd $ stack_arg $ consensus_arg $ window_arg $ topo_arg
-    $ shards_arg $ partitioned_kv_arg $ n_arg $ msgs $ port $ backend $ fsync
+    $ shards_arg $ partitioned_kv_arg $ n_arg $ msgs $ port $ fsync
     $ metrics_port $ metrics_interval $ metrics_out $ trace_sample_arg
     $ dir_arg $ min_rate)
 
@@ -925,9 +897,6 @@ let service_t =
     Arg.(value & opt float 0.5 & info [ "timeout" ] ~doc:"per-attempt retry deadline, s")
   in
   let port = Arg.(value & opt int 7520 & info [ "port" ] ~doc:"UDP base port") in
-  let backend =
-    Arg.(value & opt string "wal" & info [ "backend" ] ~doc:"storage backend: wal|files")
-  in
   let fsync =
     Arg.(
       value
@@ -998,7 +967,7 @@ let service_t =
   in
   Term.(
     const service_cmd $ n_arg $ shards_arg $ read_mode $ clients $ rate
-    $ duration $ write_pct $ lin_pct $ lease_ms $ timeout $ port $ backend
+    $ duration $ write_pct $ lin_pct $ lease_ms $ timeout $ port
     $ fsync $ kills $ seed_arg $ trace_sample_arg $ dir_arg $ metrics_port
     $ metrics_out $ history_out $ min_rate)
 

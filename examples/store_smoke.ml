@@ -101,8 +101,7 @@ let part2 () =
   let stack () = Factory.basic () in
   let msgs = 5 in
   let start () =
-    Live.create (stack ()) ~n:3 ~base_port:7491 ~dir ~backend:`Wal
-      ~fsync:Durable.Always ()
+    Live.create (stack ()) ~n:3 ~base_port:7491 ~dir ~fsync:Durable.Always ()
   in
   match start () with
   | exception Unix.Unix_error (e, _, _) ->

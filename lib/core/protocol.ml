@@ -779,39 +779,50 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
     Metrics.hadd t.mh.h_gossip_msgs copies;
     Metrics.hadd t.mh.h_gossip_bytes (copies * t.size m)
 
+  (* Every payload-carrying frame — Ring forwards, the full-set Gossip
+     belt and the reply to a Need pull — goes out through [send_chunked]:
+     [items] (order kept) are cut into runs whose summed [cost] stays
+     within [max_batch_bytes], one [send] per run, so no frame outgrows
+     a datagram however large the set it carries. An entry larger than
+     the budget travels alone. An empty [items] is one empty send (the
+     belt still carries its round hints). *)
+  let entry_cost (p : Payload.t) = String.length p.data + 16
+
+  let send_chunked t cost items send =
+    let rec go used acc = function
+      | [] -> send (List.rev acc)
+      | x :: rest ->
+        let c = cost x in
+        if acc <> [] && used + c > t.mode.max_batch_bytes then begin
+          send (List.rev acc);
+          go c [ x ] rest
+        end
+        else go (used + c) (x :: acc) rest
+    in
+    go 0 [] items
+
   (* --- Ring dissemination -------------------------------------------- *)
 
   (* Payloads travel around the ring once: the origin enqueues n-1 hops,
      every receiver forwards with one hop less. The entries one event
      produces are coalesced into the (single) send to our successor at
-     the end of that event, with no added wait, and split into messages
-     that respect the bytes budget. Crashed successors tear the ring —
-     the digest/pull gossip keeps running underneath as the repair path,
-     so liveness never depends on an intact ring. *)
-  let ring_entry_cost (p : Payload.t) = String.length p.data + 16
-
+     the end of that event, with no added wait, and cut at the bytes
+     budget. Crashed successors tear the ring — the digest/pull gossip
+     keeps running underneath as the repair path, so liveness never
+     depends on an intact ring. *)
   let ring_flush t =
     let entries = List.rev t.ring_pending in
     t.ring_pending <- [];
     if entries <> [] then begin
       let succ = (t.io.self + 1) mod t.io.n in
       let k = committed t and len = Agreed.total_len t.agreed in
-      let send chunk =
-        let m = Ring { k; len; entries = List.rev chunk } in
-        count_gossip t ~copies:1 m;
-        t.io.send succ m
-      in
-      let rec chunked cost acc = function
-        | [] -> if acc <> [] then send acc
-        | ((_, p) as e) :: rest ->
-          let c = ring_entry_cost p in
-          if acc <> [] && cost + c > t.mode.max_batch_bytes then begin
-            send acc;
-            chunked c [ e ] rest
-          end
-          else chunked (cost + c) (e :: acc) rest
-      in
-      chunked 0 [] entries
+      send_chunked t
+        (fun (_, p) -> entry_cost p)
+        entries
+        (fun entries ->
+          let m = Ring { k; len; entries } in
+          count_gossip t ~copies:1 m;
+          t.io.send succ m)
     end
 
   let ring_enqueue t hops (p : Payload.t) =
@@ -841,26 +852,15 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
       || t.gossip_tick mod t.mode.gossip_full_every = 0
     in
     let cert = cert_now t in
-    let m =
-      if full then
-        Gossip
-          {
-            k = committed t;
-            len = Agreed.total_len t.agreed;
-            unordered = unordered_list t;
-            cert;
-          }
-      else
-        Digest
-          {
-            k = committed t;
-            len = Agreed.total_len t.agreed;
-            summary = unordered_summary t;
-            cert;
-          }
+    let k = committed t and len = Agreed.total_len t.agreed in
+    let multisend m =
+      count_gossip t ~copies:t.io.n m;
+      t.io.multisend m
     in
-    count_gossip t ~copies:t.io.n m;
-    t.io.multisend m;
+    if full then
+      send_chunked t entry_cost (unordered_list t) (fun unordered ->
+          multisend (Gossip { k; len; unordered; cert }))
+    else multisend (Digest { k; len; summary = unordered_summary t; cert });
     t.io.after t.mode.gossip_period (fun () -> gossip_loop t)
 
   (* The sentinel: compare a peer's order certificate against our own
@@ -970,17 +970,12 @@ module Make (C : Abcast_consensus.Consensus_intf.S) = struct
   let on_need t ~src ids =
     let ps = List.filter_map (Ptbl.find_opt t.unordered) ids in
     if ps <> [] then begin
-      let m =
-        Gossip
-          {
-            k = committed t;
-            len = Agreed.total_len t.agreed;
-            unordered = List.sort Payload.compare ps;
-            cert = None;
-          }
-      in
-      count_gossip t ~copies:1 m;
-      t.io.send src m
+      let k = committed t and len = Agreed.total_len t.agreed in
+      send_chunked t entry_cost (List.sort Payload.compare ps)
+        (fun unordered ->
+          let m = Gossip { k; len; unordered; cert = None } in
+          count_gossip t ~copies:1 m;
+          t.io.send src m)
     end
 
   (* --- A-broadcast --------------------------------------------------- *)

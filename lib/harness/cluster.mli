@@ -21,8 +21,8 @@ val create :
   t
 (** Build the cluster and start every process. [count_bytes] (default
     false) enables per-message byte accounting (slower: serializes every
-    message). [storage] selects the stable-storage backend per process
-    (default memory-only; see {!Abcast_sim.Engine.create}). [flight]
+    message). [storage] builds each process's stable storage (default
+    memory-only; see {!Abcast_sim.Engine.create}). [flight]
     gives each process a real flight recorder — tests dump them to a
     run directory and feed {!Abcast_harness.Doctor}. *)
 
@@ -83,12 +83,12 @@ val retained_bytes : t -> int -> int
 val retained_keys : t -> int -> int
 
 val disk_bytes : t -> int -> int
-(** On-disk footprint of a process's storage backend (0 for memory) —
+(** On-disk footprint of a process's stable storage (0 for memory) —
     what WAL compaction keeps bounded. *)
 
 val wal_stats : t -> int -> Abcast_store.Wal.stats option
-(** WAL backend counters of a process ([None] unless the cluster was
-    created with a [`Wal] storage factory). *)
+(** WAL counters of a process ([None] unless the cluster was created
+    with a storage factory that passes [~dir]). *)
 
 val read_storage : t -> int -> string -> string option
 (** Peek at a key of a process's stable storage (works whether the

@@ -52,9 +52,6 @@ type t = {
   n : int;
   shards : int;
   base_port : int;
-  dir : string option;
-  backend : [ `Files | `Wal ];
-  fsync : Abcast_store.Durable.policy;
   nodes : node array;
   wake_sock : Unix.file_descr; (* unbound socket used to poke loops *)
   start_node : int -> unit; (* closes over the protocol's message type *)
@@ -166,8 +163,8 @@ let drain_socket sock =
   in
   go ()
 
-let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~backend ~fsync
-    ~flight_cap ~on_deliver () =
+let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~fsync ~flight_cap
+    ~on_deliver () =
   let nodes =
     Array.init n (fun id ->
         let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
@@ -196,9 +193,6 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~backend ~fsync
       n;
       shards = P.shards;
       base_port;
-      dir;
-      backend;
-      fsync;
       nodes;
       wake_sock;
       start_node;
@@ -217,12 +211,8 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~backend ~fsync
       Option.map (fun d -> Filename.concat d (Printf.sprintf "node%d" nd.id)) dir
     in
     let store =
-      match node_dir with
-      | Some d ->
-        Storage.create ~dir:d
-          ~backend:(backend :> [ `Memory | `Files | `Wal ])
-          ~fsync ~flight:nd.flight ~flight_now:now_us ~metrics ~node:nd.id ()
-      | None -> Storage.create ~metrics ~node:nd.id ()
+      Storage.create ?dir:node_dir ~fsync ~flight:nd.flight ~flight_now:now_us
+        ~metrics ~node:nd.id ()
     in
     (* Real boot counter: persisted, so identities survive restarts. *)
     let incarnation =
@@ -511,7 +501,7 @@ let make (module P : Abcast_core.Proto.S) ~n ~base_port ~dir ~backend ~fsync
     Mutex.lock nd.mutex;
     nd.ops <- None;
     Mutex.unlock nd.mutex;
-    (* Flush and release the durable backend: a clean shutdown must not
+    (* Flush and release the WAL: a clean shutdown must not
        lose the tail the fsync policy was still holding back. *)
     Storage.close store
   and start_node i =
@@ -787,14 +777,12 @@ let snapshot_loop t interval path ~rotate_bytes ~keep =
   in
   t.metrics_threads <- th :: t.metrics_threads
 
-let create proto ~n ?(base_port = 7400) ?dir ?(backend = `Wal)
+let create proto ~n ?(base_port = 7400) ?dir
     ?(fsync = Abcast_store.Durable.Every { ops = 64; ms = 20 })
     ?(flight_cap = 8192) ?(on_deliver = fun ~node:_ ~group:_ _ -> ())
     ?metrics_port ?(metrics_interval = 1.0) ?metrics_out
     ?(metrics_rotate_bytes = 4 * 1024 * 1024) ?(metrics_keep = 4) () =
-  let t =
-    make proto ~n ~base_port ~dir ~backend ~fsync ~flight_cap ~on_deliver ()
-  in
+  let t = make proto ~n ~base_port ~dir ~fsync ~flight_cap ~on_deliver () in
   for i = 0 to n - 1 do
     t.start_node i
   done;

@@ -14,8 +14,8 @@
       send site rather than silently truncated in flight, and received
       bytes that fail the bounds-checked decode are dropped, never raised
       into the event loop;
-    - stable storage is file-backed ({!Abcast_sim.Storage} with a
-      directory): process state genuinely survives {!crash}/{!recover},
+    - stable storage is a write-ahead log on disk
+      ({!Abcast_sim.Storage} with a directory): process state genuinely survives {!crash}/{!recover},
       including the boot counter that makes message identities unique
       across incarnations;
     - crashing a process kills its thread and discards its socket buffer
@@ -53,7 +53,6 @@ val create :
   n:int ->
   ?base_port:int ->
   ?dir:string ->
-  ?backend:[ `Files | `Wal ] ->
   ?fsync:Abcast_store.Durable.policy ->
   ?flight_cap:int ->
   ?on_deliver:(node:int -> group:int -> Abcast_core.Payload.t -> unit) ->
@@ -66,11 +65,11 @@ val create :
   t
 (** Bind one UDP socket per process on [127.0.0.1:base_port+i] (default
     base port 7400) and start every process. With [dir], process [i]
-    persists its stable storage under [dir/node<i>/] through [backend]
-    (default [`Wal], the segmented write-ahead log; [`Files] keeps the
-    file-per-key layout) with durability [fsync] (default
+    persists its stable storage under [dir/node<i>/] in a segmented
+    write-ahead log with durability [fsync] (default
     [Every {ops = 64; ms = 20}]) — required for {!recover} to actually
-    recover. Without [dir] both are ignored and storage is memory-only.
+    recover. Without [dir], [fsync] is ignored and storage is
+    memory-only.
     [on_deliver] runs in the delivering process's thread with the
     delivering node, the broadcast group ([0] on a single-group stack)
     and the payload; keep it short and synchronize your own data.
@@ -125,8 +124,12 @@ val set_prom_extra : t -> (Buffer.t -> unit) -> unit
 val is_up : t -> int -> bool
 
 val crash : t -> int -> unit
-(** Kill the process's thread; volatile state and queued datagrams are
-    lost, files remain. Blocks until the thread has exited. *)
+(** Stop the process's thread in-process: its loop exits, sends the
+    frames it still holds, dumps its flight recorder and closes its
+    storage (which syncs the WAL tail). Volatile state and datagrams
+    not yet received are lost; the directory remains. This is not a
+    SIGKILL — no unsynced tail is lost. Blocks until the thread has
+    exited. *)
 
 val recover : t -> int -> unit
 (** Restart a crashed process: a fresh incarnation re-reads its files and

@@ -229,8 +229,9 @@ let on_payload cfg fronts ~flight ~now ~node ~group (pl : Abcast_core.Payload.t)
     k status reply
   | None -> ()
 
-let create ?base_port ?dir ?backend ?fsync ?trace_sample ?flight_cap
-    ?metrics_port ?metrics_interval ?metrics_out (cfg : config) =
+let create ?base_port ?dir ?backend:(_ : [ `Wal ] option) ?fsync
+    ?trace_sample ?flight_cap ?metrics_port ?metrics_interval ?metrics_out
+    (cfg : config) =
   if cfg.n < 1 then invalid_arg "Service.create: n >= 1";
   if cfg.shards < 1 then invalid_arg "Service.create: shards >= 1";
   let fronts =
@@ -282,7 +283,7 @@ let create ?base_port ?dir ?backend ?fsync ?trace_sample ?flight_cap
   let flight_ref = ref (fun (_ : int) -> Flight.disabled) in
   let now_ref = ref (fun () -> 0) in
   let rt =
-    Runtime.create stack ~n:cfg.n ?base_port ?dir ?backend ?fsync ?flight_cap
+    Runtime.create stack ~n:cfg.n ?base_port ?dir ?fsync ?flight_cap
       ?metrics_port ?metrics_interval ?metrics_out
       ~on_deliver:(fun ~node ~group pl ->
         on_payload cfg fronts ~flight:!flight_ref ~now:!now_ref ~node ~group pl)

@@ -35,7 +35,7 @@ type read_result = Value of string | Not_ready
 val create :
   ?base_port:int ->
   ?dir:string ->
-  ?backend:[ `Files | `Wal ] ->
+  ?backend:[ `Wal ] ->
   ?fsync:Abcast_store.Durable.policy ->
   ?trace_sample:int ->
   ?flight_cap:int ->
@@ -46,7 +46,7 @@ val create :
   t
 (** Build the throughput stack (sharded when [shards > 1]) with the
     session machines wired in as group app state, and start the live
-    cluster. [dir]/[backend]/[fsync]/[flight_cap]/[metrics_port]/
+    cluster. [dir]/[fsync]/[flight_cap]/[metrics_port]/
     [metrics_interval]/[metrics_out] (JSONL snapshots with size-based
     rotation) as in
     {!Abcast_live.Runtime.create} (the Prometheus dump additionally
@@ -57,7 +57,13 @@ val create :
     causal trace id, stamped into each node's flight recorder at every
     stage — including this layer's submit/ack/lease events).
     Call {!start} afterwards to begin lease maintenance (read-index
-    mode only). *)
+    mode only).
+
+    [backend] is accepted and ignored: a node directory is always a
+    write-ahead log. It stays only because the live benchmark
+    ([livebench/], which changes only together with the benchmark
+    itself) still passes [~backend:`Wal]; drop it together with that
+    argument. *)
 
 val start : t -> unit
 (** In read-index mode: claim leadership for the current claimant

@@ -85,8 +85,8 @@ val create :
     default {!Net} model. [msg_size] enables per-message byte accounting
     (counter ["net_bytes"]). [storage] overrides how each process's
     stable storage is built (default: memory-only) — pass a factory
-    closing over a directory to run a simulation against the real
-    file-per-key or WAL backends (the backend-equivalence sweep does).
+    closing over a directory to run a simulation against the real WAL
+    (the backend-equivalence sweep does).
     [flight] gives each process a real flight recorder (default:
     {!Flight.disabled}); recorders survive crash/recover like storage. *)
 

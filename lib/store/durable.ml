@@ -22,14 +22,12 @@ let policy_of_string s =
 
 let fsync_fd fd = try Unix.fsync fd with Unix.Unix_error _ -> ()
 
-let fsync_path path =
-  match Unix.openfile path [ Unix.O_RDONLY ] 0 with
+let fsync_dir dir =
+  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
   | fd ->
     fsync_fd fd;
     (try Unix.close fd with Unix.Unix_error _ -> ())
   | exception Unix.Unix_error _ -> ()
-
-let fsync_dir = fsync_path
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin

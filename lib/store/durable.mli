@@ -1,14 +1,12 @@
 (** Shared durability primitives: fsync policies and crash-safe file
     writes.
 
-    Both stable-storage backends ({!Wal} and the file-per-key store in
-    [Abcast_sim.Storage]) honor the same {!policy}; the helpers here are
+    The {!Wal} honors a {!policy} through a {!pacer}; {!write_file} is
     the single place where the tmp+write+fsync+rename+dirsync dance is
-    spelled out, so the two backends cannot drift apart on what
-    "durable" means. All fsync failures are swallowed (best effort on
-    filesystems that reject fsync, e.g. some tmpfs/CI mounts): the
-    policies trade durability for throughput, they never trade
-    availability. *)
+    spelled out (the flight recorder dumps through it). All fsync
+    failures are swallowed (best effort on filesystems that reject
+    fsync, e.g. some tmpfs/CI mounts): the policies trade durability
+    for throughput, they never trade availability. *)
 
 (** When appends are forced to disk. *)
 type policy =
@@ -29,13 +27,10 @@ val policy_of_string : string -> (policy, string) result
 val fsync_fd : Unix.file_descr -> unit
 (** [Unix.fsync], errors swallowed. *)
 
-val fsync_path : string -> unit
-(** Open read-only, fsync, close — used for directory entries whose fd
-    is no longer at hand. Errors swallowed. *)
-
 val fsync_dir : string -> unit
-(** Persist directory metadata (created/renamed/unlinked entries). On
-    platforms where directories cannot be fsynced this is a no-op. *)
+(** Persist directory metadata (created/renamed/unlinked entries): open
+    read-only, fsync, close. Errors swallowed, so on platforms where
+    directories cannot be fsynced this is a no-op. *)
 
 val mkdir_p : string -> unit
 (** Create a directory and its missing parents (0o755). *)
@@ -52,7 +47,7 @@ val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
 (** Loop [Unix.write] until all [len] bytes from [off] are written. *)
 
 type pacer
-(** Mutable decision state for one backend instance applying a
+(** Mutable decision state for one log applying a
     {!policy}: counts unsynced operations and remembers the last sync
     time. *)
 

@@ -78,6 +78,18 @@ let tests =
             Alcotest.(check bool) "phase1" true (await phase1);
             (* kill process 2 for real; keep broadcasting; bring it back *)
             Live.crash live 2;
+            (* its directory reopens with nothing but [~dir]: the boot
+               counter and the consensus log the runtime wrote are there *)
+            let s =
+              Storage.create
+                ~dir:(Filename.concat dir "node2")
+                ~metrics:(Metrics.create ()) ~node:2 ()
+            in
+            Alcotest.(check (option string)) "boot counter" (Some "1")
+              (Storage.read s "sys/boot");
+            Alcotest.(check bool) "protocol state" true
+              (Storage.retained_keys s > 1);
+            Storage.close s;
             for j = 4 to 7 do
               Live.broadcast live ~node:(j mod 2) (Printf.sprintf "a%d" j)
             done;

@@ -363,7 +363,7 @@ let stage_tests =
             let storage ~metrics ~node =
               Storage.create
                 ~dir:(Filename.concat base (Printf.sprintf "n%d" node))
-                ~backend:`Wal ~fsync:Durable.Always ~metrics ~node ()
+                ~fsync:Durable.Always ~metrics ~node ()
             in
             let cluster =
               Cluster.create (Factory.basic ()) ~seed:5 ~n:3 ~storage ()

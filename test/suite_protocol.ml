@@ -813,8 +813,95 @@ let ring_tests =
         done);
   ]
 
+(* Every payload-carrying frame a node sends stays within the bytes
+   budget, however large the set behind it. A synthetic io captures the
+   sends of one node; nothing ever comes back, so consensus orders
+   nothing and every payload stays held. *)
+let frame_tests =
+  [
+    test "frames: Ring, full Gossip and Need replies are cut at the budget"
+      (fun () ->
+        let module P = Abcast_core.Stacks.Over_paxos in
+        let budget = 8_000 and header = 64 in
+        let sent = ref [] and timers = Queue.create () in
+        let io : P.msg Engine.io =
+          {
+            self = 0;
+            n = 3;
+            group = 0;
+            incarnation = 0;
+            now = (fun () -> 0);
+            send = (fun _ m -> sent := m :: !sent);
+            multisend = (fun m -> sent := m :: !sent);
+            after = (fun _ thunk -> Queue.push thunk timers);
+            store = Storage.create ~metrics:(Metrics.create ()) ~node:0 ();
+            rng = Rng.create 1;
+            metrics = Metrics.create ();
+            emit = ignore;
+            trace_on = (fun () -> false);
+            span_begin = (fun ~stage:_ _ -> ());
+            span_end = (fun ~stage:_ _ -> ());
+            flight = Abcast_sim.Flight.disabled;
+            alarm = ignore;
+          }
+        in
+        let node =
+          P.Basic.create ~dissemination:`Ring ~delta_gossip:false
+            ~max_batch_bytes:budget io ~on_deliver:ignore
+        in
+        let data = String.make 1_000 'x' in
+        let own = List.init 40 (fun _ -> P.Basic.broadcast node data) in
+        let theirs =
+          List.init 40 (fun seq -> Payload.make { origin = 1; boot = 0; seq } data)
+        in
+        P.Basic.handler node ~src:1
+          (P.Gossip { k = 0; len = 0; unordered = theirs; cert = None });
+        let held = List.sort compare (own @ ids_of theirs) in
+        (* one pass over the armed timers: the ring flush and a full-set
+           gossip tick *)
+        sent := [];
+        for _ = 1 to Queue.length timers do
+          (Queue.pop timers) ()
+        done;
+        let belt = !sent in
+        sent := [];
+        P.Basic.handler node ~src:2 (P.Need { ids = held });
+        let reply = !sent in
+        let carried what msgs =
+          let frames =
+            List.filter_map
+              (fun m ->
+                let ids =
+                  match (what, m) with
+                  | `Ring, P.Ring { entries; _ } ->
+                    Some (List.map (fun (_, (p : Payload.t)) -> p.id) entries)
+                  | `Gossip, P.Gossip { unordered; _ } -> Some (ids_of unordered)
+                  | _ -> None
+                in
+                Option.iter
+                  (fun _ ->
+                    let size = String.length (P.encode_msg m) in
+                    if size > budget + header then
+                      Alcotest.failf "%d B frame over the %d B budget" size
+                        budget)
+                  ids;
+                ids)
+              msgs
+          in
+          Alcotest.(check bool) "the set needed several frames" true
+            (List.length frames > 1);
+          List.sort compare (List.concat frames)
+        in
+        Alcotest.(check bool) "ring carries every own payload" true
+          (carried `Ring belt = List.sort compare own);
+        Alcotest.(check bool) "full gossip carries every held id" true
+          (carried `Gossip belt = held);
+        Alcotest.(check bool) "Need reply carries every pulled id" true
+          (carried `Gossip reply = held));
+  ]
+
 let suite =
   ( "protocol",
     basic_tests @ alternative_tests @ window_tests @ direct_api_tests
     @ determinism_tests @ edge_tests @ delta_gossip_tests @ ring_tests
-    @ metrics_tests )
+    @ frame_tests @ metrics_tests )

@@ -100,56 +100,66 @@ let temp_dir =
 
 let storage_file_tests =
   [
-    test "file backing: contents survive re-opening" (fun () ->
+    test "durable storage: contents survive re-opening" (fun () ->
         let dir = temp_dir () in
         let metrics = Metrics.create () in
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         Storage.write s1 ~layer:"x" ~key:"cons/000000001/proposal" "hello";
         Storage.write s1 ~layer:"x" ~key:"weird key /%\\0" "bytes";
+        Storage.close s1;
         (* a fresh handle on the same directory sees everything *)
         let s2 = Storage.create ~dir ~metrics ~node:0 () in
         Alcotest.(check (option string)) "key 1" (Some "hello")
           (Storage.read s2 "cons/000000001/proposal");
         Alcotest.(check (option string)) "odd key" (Some "bytes")
           (Storage.read s2 "weird key /%\\0");
-        Alcotest.(check int) "two keys" 2 (Storage.retained_keys s2));
-    test "file backing: delete removes the file" (fun () ->
+        Alcotest.(check int) "two keys" 2 (Storage.retained_keys s2);
+        Storage.close s2);
+    test "durable storage: delete survives re-opening" (fun () ->
         let dir = temp_dir () in
         let metrics = Metrics.create () in
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         Storage.write s1 ~layer:"x" ~key:"a" "1";
         Storage.delete s1 ~layer:"x" "a";
+        Storage.close s1;
         let s2 = Storage.create ~dir ~metrics ~node:0 () in
-        Alcotest.(check (option string)) "gone" None (Storage.read s2 "a"));
-    test "file backing: overwrite persists the newest value" (fun () ->
+        Alcotest.(check (option string)) "gone" None (Storage.read s2 "a");
+        Storage.close s2);
+    test "durable storage: overwrite persists the newest value" (fun () ->
         let dir = temp_dir () in
         let metrics = Metrics.create () in
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         Storage.write s1 ~layer:"x" ~key:"a" "old";
         Storage.write s1 ~layer:"x" ~key:"a" "new";
+        Storage.close s1;
         let s2 = Storage.create ~dir ~metrics ~node:0 () in
-        Alcotest.(check (option string)) "new" (Some "new") (Storage.read s2 "a"));
-    test "file backing: wipe clears the directory" (fun () ->
+        Alcotest.(check (option string)) "new" (Some "new") (Storage.read s2 "a");
+        Storage.close s2);
+    test "durable storage: wipe clears the directory" (fun () ->
         let dir = temp_dir () in
         let metrics = Metrics.create () in
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         Storage.write s1 ~layer:"x" ~key:"a" "1";
         Storage.wipe s1;
+        Storage.close s1;
         let s2 = Storage.create ~dir ~metrics ~node:0 () in
-        Alcotest.(check int) "empty" 0 (Storage.retained_keys s2));
-    test "file backing: binary values roundtrip" (fun () ->
+        Alcotest.(check int) "empty" 0 (Storage.retained_keys s2);
+        Storage.close s2);
+    test "durable storage: binary values roundtrip" (fun () ->
         let dir = temp_dir () in
         let metrics = Metrics.create () in
         let s1 = Storage.create ~dir ~metrics ~node:0 () in
         let blob = Storage.encode (42, [ "x"; "y" ], 3.14) in
         Storage.write s1 ~layer:"x" ~key:"blob" blob;
+        Storage.close s1;
         let s2 = Storage.create ~dir ~metrics ~node:0 () in
         let (a, b, c) : int * string list * float =
           Storage.decode (Option.get (Storage.read s2 "blob"))
         in
         Alcotest.(check int) "int" 42 a;
         Alcotest.(check (list string)) "list" [ "x"; "y" ] b;
-        Alcotest.(check (float 1e-9)) "float" 3.14 c);
+        Alcotest.(check (float 1e-9)) "float" 3.14 c;
+        Storage.close s2);
   ]
 
 let metrics_tests =
